@@ -1,5 +1,6 @@
-//! Native micro-kernel throughput: the Table I register tiles plus the
-//! OpenBLAS edge shapes, on packed operands (kc = 64).
+//! Native micro-kernel throughput: the Table I register tiles, the
+//! OpenBLAS edge shapes and odd edge tiles (row and column tails), on
+//! packed operands (kc = 64).
 
 use smm_bench::timing::Group;
 use smm_kernels::Kernel;
@@ -12,9 +13,13 @@ fn bench_kernels() {
         (8, 8),
         (8, 12),
         (12, 4),
+        (8, 4),
+        (4, 8),
         (4, 4),
         (2, 4),
         (1, 4),
+        (7, 5),
+        (3, 13),
     ] {
         let a: Vec<f32> = (0..mr * kc).map(|i| (i % 13) as f32 * 0.25).collect();
         let b: Vec<f32> = (0..nr * kc).map(|i| (i % 7) as f32 * 0.5).collect();
@@ -34,20 +39,6 @@ fn bench_kernels() {
     }
 }
 
-fn bench_static_vs_dynamic() {
-    let mut group = Group::new("static_vs_dynamic_dispatch");
-    let (mr, nr, kc) = (8usize, 8usize, 64usize);
-    let a: Vec<f32> = (0..mr * kc).map(|i| i as f32 * 0.01).collect();
-    let b: Vec<f32> = (0..nr * kc).map(|i| i as f32 * 0.02).collect();
-    let mut cbuf = vec![0.0f32; mr * nr];
-    let k = Kernel::<f32>::for_shape(8, 8);
-    group.bench("static_8x8", || k.run(kc, 1.0, &a, &b, &mut cbuf, mr));
-    group.bench("dynamic_8x8", || {
-        smm_kernels::native::microkernel_dyn(mr, nr, kc, 1.0, &a, &b, &mut cbuf, mr)
-    });
-}
-
 fn main() {
     bench_kernels();
-    bench_static_vs_dynamic();
 }

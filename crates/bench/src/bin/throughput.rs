@@ -14,6 +14,12 @@
 //! end — arena hit rate ≥ 99% and zero arena bytes allocated after
 //! warm-up — so a packing-path regression fails the bench (and the CI
 //! perf-smoke job) rather than silently eating the win back.
+//!
+//! A kernel-efficiency gate runs first: the 16×4 and 8×12 register
+//! tiles at kc = 64 must reach at least 40% of the host's 256-bit FMA
+//! throughput, probed in-process. It is a ratio against the same core,
+//! so it survives shared-runner noise the way the arena gates do; it is
+//! skipped, with the reason printed, on hosts without AVX2+FMA.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -22,6 +28,7 @@ use smm_core::{PlanConfig, Smm, SmmPlan};
 use smm_gemm::arena;
 use smm_gemm::matrix::{Mat, MatMut, MatRef};
 use smm_gemm::parallel::split_ranges;
+use smm_kernels::Kernel;
 
 const THREADS: usize = 4;
 
@@ -498,9 +505,118 @@ fn arena_steady_state_section() -> arena::ArenaStats {
     stats
 }
 
+/// Minimum fraction of the 256-bit FMA probe the gated tiles must reach.
+const KERNEL_PEAK_FRAC_MIN: f64 = 0.40;
+/// Register tiles the kernel gate measures: Table I's OpenBLAS tile and
+/// the planner's most common wide tile.
+const GATED_TILES: [(usize, usize); 2] = [(16, 4), (8, 12)];
+/// Depth of the gated kernel calls.
+const GATE_KC: usize = 64;
+
+/// Independent accumulator chains of the FMA probe: more than FMA
+/// latency × issue width on current cores, so it is throughput-bound.
+const PROBE_CHAINS: usize = 12;
+
+/// `iters` rounds of `PROBE_CHAINS` independent 8-lane FMAs.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn fma256_probe(iters: u64) -> f32 {
+    use std::arch::x86_64::*;
+    let (x, y) = (_mm256_set1_ps(0.999_999), _mm256_set1_ps(1e-7));
+    let mut acc = [_mm256_set1_ps(1.0); PROBE_CHAINS];
+    for _ in 0..iters {
+        for a in acc.iter_mut() {
+            *a = _mm256_fmadd_ps(*a, x, y);
+        }
+    }
+    let s = acc
+        .iter()
+        .fold(_mm256_setzero_ps(), |s, a| _mm256_add_ps(s, *a));
+    _mm256_cvtss_f32(s)
+}
+
+/// Whether the host can run the FMA probe (and the SIMD kernel).
+fn has_avx2_fma() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// The kernel-efficiency gate: each gated tile's Gflop/s over the
+/// 256-bit FMA probe's, both best-of-blocks and measured in alternating
+/// blocks so frequency shifts and neighbours hit both sides. Returns
+/// `(tile, fraction)` rows, empty when skipped.
+fn kernel_efficiency_section() -> Vec<((usize, usize), f64)> {
+    println!(
+        "kernel efficiency (kc = {GATE_KC}, gate: >= {:.0}% of the 256-bit FMA probe):",
+        KERNEL_PEAK_FRAC_MIN * 100.0
+    );
+    if !has_avx2_fma() {
+        println!("  skipped: this host lacks AVX2+FMA, so the portable kernel runs");
+        return Vec::new();
+    }
+    let probe_iters = 1u64 << 16;
+    let probe_flops = (2 * 8 * PROBE_CHAINS) as f64 * probe_iters as f64;
+    let probe = || {
+        let t0 = Instant::now();
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `has_avx2_fma` confirmed AVX2 and FMA at run time,
+        // the only requirement of calling the probe.
+        std::hint::black_box(unsafe { fma256_probe(std::hint::black_box(probe_iters)) });
+        probe_flops / t0.elapsed().as_secs_f64() / 1e9
+    };
+    let mut rows = Vec::new();
+    for (mr, nr) in GATED_TILES {
+        let a: Vec<f32> = (0..mr * GATE_KC).map(|i| (i % 13) as f32 * 0.25).collect();
+        let b: Vec<f32> = (0..nr * GATE_KC).map(|i| (i % 7) as f32 * 0.5).collect();
+        let mut c = vec![0.0f32; mr * nr];
+        let kernel = Kernel::<f32>::for_shape(mr, nr);
+        let calls = 4096;
+        let tile_flops = (2 * mr * nr * GATE_KC * calls) as f64;
+        let mut tile = || {
+            let t0 = Instant::now();
+            for _ in 0..calls {
+                kernel.run(
+                    GATE_KC,
+                    1.0,
+                    std::hint::black_box(&a),
+                    std::hint::black_box(&b),
+                    &mut c,
+                    mr,
+                );
+            }
+            tile_flops / t0.elapsed().as_secs_f64() / 1e9
+        };
+        let (mut best_probe, mut best_tile) = (0.0f64, 0.0f64);
+        for _ in 0..12 {
+            best_probe = best_probe.max(probe());
+            best_tile = best_tile.max(tile());
+        }
+        let frac = best_tile / best_probe;
+        println!(
+            "  {mr}x{nr}: {best_tile:.2} Gflop/s of {best_probe:.2} probed -> {:.1}%",
+            frac * 100.0
+        );
+        assert!(
+            frac >= KERNEL_PEAK_FRAC_MIN,
+            "{mr}x{nr} kernel reaches {:.1}% of the 256-bit FMA probe, below the {:.0}% gate",
+            frac * 100.0,
+            KERNEL_PEAK_FRAC_MIN * 100.0
+        );
+        rows.push(((mr, nr), frac));
+    }
+    println!("  gate passed");
+    rows
+}
+
 /// Hand-rolled JSON (std-only workspace) mirroring the keys the
 /// telemetry report uses, one object per benched workload.
-fn write_json(records: &[ShapeRecord], steady: arena::ArenaStats) {
+fn write_json(
+    records: &[ShapeRecord],
+    steady: arena::ArenaStats,
+    kernels: &[((usize, usize), f64)],
+) {
     use std::fmt::Write as _;
     let min_speedup = records
         .iter()
@@ -529,9 +645,15 @@ fn write_json(records: &[ShapeRecord], steady: arena::ArenaStats) {
         steady.alloc_bytes,
         steady.hit_rate()
     );
+    let kernel_rows: Vec<String> = kernels
+        .iter()
+        .map(|((mr, nr), f)| format!("\"{mr}x{nr}\": {f:.3}"))
+        .collect();
+    let _ = writeln!(s, "  \"kernel_peak_frac\": {{{}}},", kernel_rows.join(", "));
     let _ = writeln!(
         s,
         "  \"gates\": {{\"arena_hit_rate_min\": 0.99, \"arena_alloc_bytes_steady\": 0, \
+         \"kernel_peak_frac_min\": {KERNEL_PEAK_FRAC_MIN:.2}, \
          \"min_speedup_vs_spawn\": {min_speedup:.3}, \"passed\": true}}"
     );
     s.push_str("}\n");
@@ -541,11 +663,13 @@ fn write_json(records: &[ShapeRecord], steady: arena::ArenaStats) {
 
 fn main() {
     println!("SMM runtime throughput — pooled dispatch vs spawn-per-call\n");
+    let kernels = kernel_efficiency_section();
+    println!();
     let mut records = Vec::new();
     batch_section(&mut records);
     single_gemm_section(&mut records);
     concurrent_callers_section();
     telemetry_section();
     let steady = arena_steady_state_section();
-    write_json(&records, steady);
+    write_json(&records, steady, &kernels);
 }

@@ -208,7 +208,8 @@ impl<S: Scalar> Smm<S> {
             ..self.config().clone()
         };
         let plan = SmmPlan::build(desc.m, desc.n, desc.k, &plan_cfg);
-        rec.span_since(Phase::PlanLookup, t_call);
+        let t_plan = rec.now();
+        rec.span_between(Phase::PlanLookup, t_call, t_plan);
         let threads = self.config().max_threads.clamp(1, desc.batch);
 
         // Entries are tiny, so per-entry clock reads can rival the
@@ -217,16 +218,19 @@ impl<S: Scalar> Smm<S> {
         // reads; otherwise each group records one coarse Compute span.
         let fine = rec.active() && (plan.pack_a || plan.pack_b);
         let entry_rec = if fine { rec } else { Recorder::none() };
-        let finish = |total: Option<Instant>| {
-            if let Some(t0) = total {
-                self.telemetry().record_call(
+        // `end` is the clock reading that closed the call's last span;
+        // it doubles as the call's end and rate-window timestamp.
+        let finish = |end: Option<Instant>| {
+            if let (Some(t0), Some(t1)) = (t_call, end) {
+                self.telemetry().record_call_at(
                     CallSite::GemmBatch,
                     desc.m,
                     desc.n,
                     desc.k,
                     std::mem::size_of::<S>(),
                     desc.batch as u64,
-                    t0.elapsed().as_nanos() as u64,
+                    t1.duration_since(t0).as_nanos() as u64,
+                    Some(t1),
                 );
             }
         };
@@ -241,12 +245,14 @@ impl<S: Scalar> Smm<S> {
         };
 
         if threads <= 1 {
-            let t0 = if fine { None } else { rec.now() };
             for i in 0..desc.batch {
                 run_entry(&plan, &mut c[i * desc.stride_c..], i);
             }
-            rec.span_since(Phase::Compute, t0);
-            finish(t_call);
+            let end = rec.now();
+            if !fine {
+                rec.span_between(Phase::Compute, t_plan, end);
+            }
+            finish(end);
             return Ok(());
         }
 
@@ -289,10 +295,12 @@ impl<S: Scalar> Smm<S> {
                 }
             })
             .collect();
-        let t_dispatch = rec.now();
+        // The lookup's end doubles as the dispatch start: splitting C
+        // and dealing the groups above is part of fanning out.
         let busys = self.pool().run_scoped(tasks);
-        if let Some(td) = t_dispatch {
-            let dispatch_ns = td.elapsed().as_nanos() as u64;
+        let end = rec.now();
+        if let (Some(td), Some(t1)) = (t_plan, end) {
+            let dispatch_ns = t1.duration_since(td).as_nanos() as u64;
             let max_busy = busys.iter().copied().max().unwrap_or(0);
             if !fine {
                 // One span for the parallel section's critical path —
@@ -303,7 +311,7 @@ impl<S: Scalar> Smm<S> {
             // Barrier slack: the caller's wait beyond the slowest group.
             rec.span_ns(Phase::Sync, dispatch_ns.saturating_sub(max_busy));
         }
-        finish(t_call);
+        finish(end);
         Ok(())
     }
 

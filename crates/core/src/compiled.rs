@@ -15,9 +15,9 @@
 use smm_gemm::matrix::{MatMut, MatRef};
 use smm_gemm::naive::check_dims;
 use smm_gemm::pack::{pack_a_exact, pack_b_exact};
+use smm_kernels::native::{ukr, BLayout};
 use smm_kernels::Scalar;
 
-use crate::direct::DirectKernel;
 use crate::plan::SmmPlan;
 
 /// One packing directive in the schedule.
@@ -32,7 +32,9 @@ enum PackOp {
 /// One micro-tile invocation with fully resolved offsets.
 #[derive(Debug, Clone, Copy)]
 struct TileOp {
-    kernel: DirectKernel,
+    /// Tile shape.
+    mr: usize,
+    nr: usize,
     /// Offset of `A(i0, kk)` in the caller's buffer (element units),
     /// or index of the packed-A buffer when `a_packed`.
     a_off: usize,
@@ -102,7 +104,8 @@ impl CompiledPlan {
                 };
                 for (s, jt) in plan.n_tiles.iter().enumerate() {
                     tiles.push(TileOp {
-                        kernel: DirectKernel::new(it.logical, jt.logical),
+                        mr: it.logical,
+                        nr: jt.logical,
                         a_off: a_buffer.unwrap_or(kk * lda + it.offset),
                         a_packed: a_buffer.is_some(),
                         a_stride: if a_buffer.is_some() { it.logical } else { lda },
@@ -169,47 +172,28 @@ impl CompiledPlan {
                 }
             }
             for t in tiles {
-                let c_slice = &mut cm.data_mut()[t.c_off..];
-                match (t.a_packed, t.b_packed) {
-                    (true, true) => t.kernel.run_bp(
-                        t.kc,
-                        alpha,
-                        &bufs.a[t.a_off],
-                        t.a_stride,
-                        &bufs.b[t.b_off],
-                        c_slice,
-                        self.ldc,
-                    ),
-                    (true, false) => t.kernel.run_bd(
-                        t.kc,
-                        alpha,
-                        &bufs.a[t.a_off],
-                        t.a_stride,
-                        &b[t.b_off..],
-                        self.ldb,
-                        c_slice,
-                        self.ldc,
-                    ),
-                    (false, true) => t.kernel.run_bp(
-                        t.kc,
-                        alpha,
-                        &a[t.a_off..],
-                        t.a_stride,
-                        &bufs.b[t.b_off],
-                        c_slice,
-                        self.ldc,
-                    ),
-                    (false, false) => t.kernel.run_bd(
-                        t.kc,
-                        alpha,
-                        &a[t.a_off..],
-                        t.a_stride,
-                        &b[t.b_off..],
-                        self.ldb,
-                        c_slice,
-                        self.ldc,
-                    ),
-                }
+                let a_src: &[S] = if t.a_packed {
+                    &bufs.a[t.a_off]
+                } else {
+                    &a[t.a_off..]
+                };
+                let (b_src, b_layout): (&[S], _) = if t.b_packed {
+                    (&bufs.b[t.b_off], BLayout::Packed)
+                } else {
+                    (&b[t.b_off..], BLayout::ColMajor { ldb: self.ldb })
+                };
+                ukr(
+                    t.mr,
+                    t.nr,
+                    t.kc,
+                    alpha,
+                    a_src,
+                    t.a_stride,
+                    b_src,
+                    b_layout,
+                    &mut cm.data_mut()[t.c_off..],
+                    self.ldc,
+                );
             }
             kk += kc;
         }

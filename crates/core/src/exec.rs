@@ -16,16 +16,18 @@
 //! executor, so results are bit-for-bit unchanged (see
 //! `pooled_execution_is_bit_identical_to_spawn_per_call`).
 
+use std::time::Instant;
+
 use smm_gemm::arena;
 use smm_gemm::matrix::{MatMut, MatRef};
 use smm_gemm::naive::check_dims_of;
 use smm_gemm::pack::{pack_a_exact, pack_b_exact_append};
 use smm_gemm::parallel::split_ranges;
 use smm_gemm::pool::TaskPool;
+use smm_kernels::native::{ukr_ptr, BLayout};
 use smm_kernels::registry::TileSpan;
 use smm_kernels::Scalar;
 
-use crate::direct::DirectKernel;
 use crate::plan::SmmPlan;
 use crate::telemetry::{now_if, Phase, Recorder};
 use crate::trace::{SpanName, Tracer};
@@ -72,7 +74,18 @@ pub fn execute_traced<S: Scalar>(
     beta: S,
     c: MatMut<'_, S>,
 ) {
-    execute_traced_ctx(pool, plan, rec, &Tracer::disabled(), alpha, a, b, beta, c);
+    execute_traced_ctx(
+        pool,
+        plan,
+        rec,
+        &Tracer::disabled(),
+        None,
+        alpha,
+        a,
+        b,
+        beta,
+        c,
+    );
 }
 
 /// [`execute_traced`] under a request [`Tracer`]: when tracing is
@@ -81,18 +94,26 @@ pub fn execute_traced<S: Scalar>(
 /// before dispatch, since the cells run on pool threads). The cell
 /// decomposition and execution order are untouched — results stay
 /// bit-for-bit identical to the untraced path.
+///
+/// `start` lets a caller that has just read the clock (through `rec`)
+/// hand that reading over as the start of execution instead of paying
+/// for another; a single-threaded compute span then also covers the
+/// beta scaling. The return value is the clock reading that closed
+/// the execution (`None` when `rec` is inactive), for the caller to
+/// reuse as the end of its call.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_traced_ctx<S: Scalar>(
     pool: &TaskPool,
     plan: &SmmPlan,
     rec: Recorder<'_>,
     tracer: &Tracer,
+    start: Option<Instant>,
     alpha: S,
     a: MatRef<'_, S>,
     b: MatRef<'_, S>,
     beta: S,
     mut c: MatMut<'_, S>,
-) {
+) -> Option<Instant> {
     let (m, k, n) = check_dims_of(&a, &b, c.rows(), c.cols());
     assert_eq!(
         (m, n, k),
@@ -106,7 +127,7 @@ pub fn execute_traced_ctx<S: Scalar>(
     let threads = plan.threads();
     if threads <= 1 {
         c.scale(beta);
-        let t0 = rec.now();
+        let t0 = start.or_else(|| rec.now());
         let cost = run_tiles(
             plan,
             timed,
@@ -119,10 +140,11 @@ pub fn execute_traced_ctx<S: Scalar>(
             0,
             0,
         );
-        if let Some(t0) = t0 {
-            record_cost(&rec, &cost, t0.elapsed().as_nanos() as u64);
+        let end = rec.now();
+        if let (Some(t0), Some(t1)) = (t0, end) {
+            record_cost(&rec, &cost, t1.duration_since(t0).as_nanos() as u64);
         }
-        return;
+        return end;
     }
 
     // The beta scaling is the serial bookend of the parallel section —
@@ -130,7 +152,7 @@ pub fn execute_traced_ctx<S: Scalar>(
     // caller's wait beyond the slowest task. (The historical post-join
     // merge pass — the other bookend — no longer exists: each cell
     // writes its disjoint C tile in place.)
-    let t_scale = rec.now();
+    let t_scale = start.or_else(|| rec.now());
     c.scale(beta);
     let scale_ns = t_scale.map_or(0, |t| t.elapsed().as_nanos() as u64);
 
@@ -187,7 +209,11 @@ pub fn execute_traced_ctx<S: Scalar>(
     }
     let t_dispatch = rec.now();
     let results = pool.run_scoped(tasks);
-    let dispatch_ns = t_dispatch.map_or(0, |t| t.elapsed().as_nanos() as u64);
+    let end = rec.now();
+    let dispatch_ns = match (t_dispatch, end) {
+        (Some(t0), Some(t1)) => t1.duration_since(t0).as_nanos() as u64,
+        _ => 0,
+    };
     if timed {
         let mut max_busy = 0u64;
         for (cost, busy_ns) in results {
@@ -199,6 +225,7 @@ pub fn execute_traced_ctx<S: Scalar>(
         // plus the serial scale bookend; no merge term remains.
         rec.span_ns(Phase::Sync, dispatch_ns.saturating_sub(max_busy) + scale_ns);
     }
+    end
 }
 
 /// Packing cost observed by one [`run_tiles`] invocation; all zeros
@@ -307,28 +334,30 @@ fn run_tiles<S: Scalar>(
                 (&a.data()[kk * lda + it.offset..], lda)
             };
             for (s, jt) in n_tiles.iter().enumerate() {
-                let kernel = DirectKernel::new(it.logical, jt.logical);
                 let cptr = c.tile_ptr(
                     it.offset - i_base,
                     jt.offset - j_base,
                     it.logical,
                     jt.logical,
                 );
-                if b_offs[s] != UNPACKED {
-                    let b_sl = &bpack[b_offs[s]..b_offs[s] + kc * jt.logical];
-                    // SAFETY: `tile_ptr` just asserted the tile's
-                    // `logical x logical` window lies inside `c`, whose
-                    // elements `&mut c` owns exclusively; the kernel
-                    // writes exactly that footprint with stride
-                    // `ldc = c.ld()`.
-                    unsafe { kernel.run_bp_ptr(kc, alpha, a_src, a_stride, b_sl, cptr, ldc) };
+                let (b_src, b_layout) = if b_offs[s] != UNPACKED {
+                    (
+                        &bpack[b_offs[s]..b_offs[s] + kc * jt.logical],
+                        BLayout::Packed,
+                    )
                 } else {
-                    let b_src = &b.data()[jt.offset * ldb + kk..];
-                    // SAFETY: as above — the asserted window is owned
-                    // exclusively through `&mut c` and the kernel stays
-                    // inside it.
-                    unsafe { kernel.run_bd_ptr(kc, alpha, a_src, a_stride, b_src, ldb, cptr, ldc) };
-                }
+                    (&b.data()[jt.offset * ldb + kk..], BLayout::ColMajor { ldb })
+                };
+                // SAFETY: `tile_ptr` just asserted the tile's
+                // `logical x logical` window lies inside `c`, whose
+                // elements `&mut c` owns exclusively; the kernel writes
+                // exactly that footprint with stride `ldc = c.ld()`.
+                unsafe {
+                    ukr_ptr(
+                        it.logical, jt.logical, kc, alpha, a_src, a_stride, b_src, b_layout, cptr,
+                        ldc,
+                    )
+                };
             }
         }
         kk += kc;

@@ -6,10 +6,10 @@
 //! implementation specialized for small and irregular shapes, built on
 //! the four findings of the paper's characterization:
 //!
-//! 1. **Packing-optional execution** ([`direct`], [`plan`]): the
+//! 1. **Packing-optional execution** ([`plan`], [`exec`]): the
 //!    `O(M·K + K·N)` packing pass is skipped whenever the P2C model
-//!    (§III-A) says it cannot be amortized; kernels stream straight
-//!    from column-major operands.
+//!    (§III-A) says it cannot be amortized; the `smm_kernels::native`
+//!    kernel streams straight from column-major operands.
 //! 2. **A set of shape-tuned micro-kernels** with exact edge
 //!    decomposition and Fig.-8-style edge packing — no padded flops,
 //!    no naively scheduled edge kernels.
@@ -36,7 +36,6 @@
 
 pub mod batch;
 pub mod compiled;
-pub mod direct;
 pub mod error;
 pub mod exec;
 pub mod plan;
@@ -55,7 +54,6 @@ pub use smm_sync::sync;
 
 pub use batch::StridedBatch;
 pub use compiled::{CompiledPlan, CompiledScratch};
-pub use direct::DirectKernel;
 pub use error::{Operand, SmmError};
 pub use exec::{execute, execute_in, execute_traced};
 pub use plan::{choose_kernel, choose_kernel_for, PlanConfig, SmmPlan};
@@ -74,3 +72,11 @@ pub use trace::{
     TraceExemplar, Tracer,
 };
 pub use tune::{candidate_configs, tune_shape, Autotuner, PlanSource, TunedPlan, TunerStats};
+
+/// The packing-optional ("direct") operand path of [`exec`]: strided
+/// `A` and unpacked column-major `B` streamed straight into
+/// `smm_kernels::native::ukr`.
+#[cfg(test)]
+mod direct {
+    mod tests;
+}

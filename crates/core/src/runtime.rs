@@ -37,9 +37,11 @@ pub const DEFAULT_PLAN_CAPACITY: usize = 1024;
 /// Snapshot of runtime counters, returned by [`crate::Smm::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeStats {
-    /// Plan-cache lookups that found an existing plan.
+    /// Plan-cache lookups served by a cached plan, including lookups
+    /// that built a plan but lost the insert race to a concurrent miss
+    /// and adopted the winner's.
     pub plan_hits: u64,
-    /// Plan-cache lookups that had to build a plan.
+    /// Plan-cache lookups that built and inserted a plan.
     pub plan_misses: u64,
     /// Plans dropped because a shard reached its capacity.
     pub plan_evictions: u64,
@@ -123,15 +125,19 @@ impl ShardedPlanCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(plan);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         // Build outside the lock: planning may simulate candidate
         // kernels and must not serialize other shapes' lookups.
         let built = Arc::new(build());
         let mut map = shard.write().unwrap();
         if let Some(plan) = map.get(&key) {
-            // A concurrent miss won the race; adopt its plan.
+            // A concurrent miss won the race; adopt its plan. The call
+            // is served from the cache, so it counts as a hit — misses
+            // count inserted plans, and `hits + misses` stays the
+            // number of calls.
+            self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(plan);
         }
+        self.misses.fetch_add(1, Ordering::Relaxed);
         if self.shard_capacity != 0 && map.len() >= self.shard_capacity {
             // Arbitrary eviction: SMM workloads cycle over few shapes,
             // so anything resident beyond capacity is equally cold.
@@ -259,6 +265,32 @@ mod tests {
         assert_eq!(cache.len(), 1);
         let s = cache.stats(0);
         assert_eq!(s.plan_hits + s.plan_misses, 8);
+    }
+
+    /// Two threads miss the same shape at once: a barrier inside
+    /// `build` holds both builders until each has missed. Exactly one
+    /// plan is inserted (one miss); the loser adopts it (one hit).
+    #[test]
+    fn racing_misses_count_one_miss_and_one_hit() {
+        let cache = ShardedPlanCache::default();
+        let barrier = std::sync::Barrier::new(2);
+        let plans: Vec<Arc<SmmPlan>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        cache.get_or_insert_with(9, 9, 9, || {
+                            barrier.wait();
+                            SmmPlan::build(9, 9, 9, &PlanConfig::default())
+                        })
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(Arc::ptr_eq(&plans[0], &plans[1]));
+        assert_eq!(cache.len(), 1);
+        let s = cache.stats(0);
+        assert_eq!((s.plan_misses, s.plan_hits), (1, 1));
     }
 
     #[test]

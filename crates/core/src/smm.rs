@@ -411,20 +411,36 @@ impl<S: Scalar> Smm<S> {
             return;
         }
         let _root = self.tracer.span(SpanName::Gemm, shape_arg(m, n, k));
+        // Three clock reads per single-threaded call: the lookup's end
+        // doubles as the execution's start, and the execution's end
+        // closes the compute span, the call total and the rate window.
         let rec = self.telemetry.recorder(CallSite::Gemm);
         let t0 = rec.now();
         let plan = self.plan(m, n, k);
-        rec.span_since(Phase::PlanLookup, t0);
-        execute_traced_ctx(&self.pool, &plan, rec, &self.tracer, alpha, a, b, beta, c);
-        if let Some(t0) = t0 {
-            self.telemetry.record_call(
+        let t_plan = rec.now();
+        rec.span_between(Phase::PlanLookup, t0, t_plan);
+        let end = execute_traced_ctx(
+            &self.pool,
+            &plan,
+            rec,
+            &self.tracer,
+            t_plan,
+            alpha,
+            a,
+            b,
+            beta,
+            c,
+        );
+        if let (Some(t0), Some(end)) = (t0, end) {
+            self.telemetry.record_call_at(
                 CallSite::Gemm,
                 m,
                 n,
                 k,
                 std::mem::size_of::<S>(),
                 1,
-                t0.elapsed().as_nanos() as u64,
+                end.duration_since(t0).as_nanos() as u64,
+                Some(end),
             );
         }
     }

@@ -494,6 +494,25 @@ impl Telemetry {
         entries: u64,
         total_ns: u64,
     ) {
+        self.record_call_at(site, m, n, k, elem_bytes, entries, total_ns, None);
+    }
+
+    /// [`Telemetry::record_call`] for a call whose end the caller has
+    /// already read from the clock: `end` doubles as the rate-window
+    /// timestamp, saving a clock read on the tiny-call path. `None`
+    /// reads the clock here.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn record_call_at(
+        &self,
+        site: CallSite,
+        m: usize,
+        n: usize,
+        k: usize,
+        elem_bytes: usize,
+        entries: u64,
+        total_ns: u64,
+        end: Option<Instant>,
+    ) {
         let shard = self.shard();
         shard.site_calls[site.index()].fetch_add(1, Ordering::Relaxed);
         let flops = 2 * (m as u64) * (n as u64) * (k as u64) * entries;
@@ -501,7 +520,11 @@ impl Telemetry {
         if self.enabled {
             // Rate ticks need a wall-clock sample; keep the disabled
             // registry clock-free even through this bypass path.
-            self.rate.record(self.epoch_ns(), entries, flops, total_ns);
+            let now_ns = match end {
+                Some(t) => t.duration_since(self.epoch).as_nanos() as u64,
+                None => self.epoch_ns(),
+            };
+            self.rate.record(now_ns, entries, flops, total_ns);
         }
         self.record_shape(m, n, k, elem_bytes, entries, total_ns);
     }
@@ -770,16 +793,11 @@ impl<'a> Recorder<'a> {
         self.tel.map(|_| Instant::now())
     }
 
-    /// Record the span from `start` (a [`Recorder::now`] result) to the
-    /// present; returns the span length in ns (0 when inactive).
-    pub fn span_since(&self, phase: Phase, start: Option<Instant>) -> u64 {
-        match (self.tel, start) {
-            (Some(tel), Some(t0)) => {
-                let ns = t0.elapsed().as_nanos() as u64;
-                tel.record_span(self.site, phase, ns);
-                ns
-            }
-            _ => 0,
+    /// Record the span between two [`Recorder::now`] readings without
+    /// reading the clock again.
+    pub fn span_between(&self, phase: Phase, start: Option<Instant>, end: Option<Instant>) {
+        if let (Some(tel), Some(t0), Some(t1)) = (self.tel, start, end) {
+            tel.record_span(self.site, phase, t1.duration_since(t0).as_nanos() as u64);
         }
     }
 

@@ -211,18 +211,23 @@ fn run_tile<S: Scalar>(
         // exactly that footprint with stride `ldc = c.ld()`.
         unsafe { kernel.run_ptr(kc, alpha, a_sl, b_sl, ptr, ldc) };
     } else {
-        // Padded tile (BLIS/BLASFEO): compute the full register tile
-        // into scratch, then merge only the logical part into C.
+        // Padded tile (BLIS/BLASFEO): stage the logical part of C in a
+        // full register-tile scratch, run the kernel there, and copy
+        // the logical part back — the same fused `c = fma(alpha, acc,
+        // c)` update an exact tile performs in place.
         let need = it.kernel * jt.kernel;
         scratch.clear();
         scratch.resize(need, S::ZERO);
+        let (i0, j0) = (ii + it.offset, jj + jt.offset);
+        for j in 0..jt.logical {
+            for i in 0..it.logical {
+                scratch[j * it.kernel + i] = c.at(i0 + i, j0 + j);
+            }
+        }
         kernel.run(kc, alpha, a_sl, b_sl, scratch, it.kernel);
         for j in 0..jt.logical {
             for i in 0..it.logical {
-                let gi = ii + it.offset + i;
-                let gj = jj + jt.offset + j;
-                let v = c.at(gi, gj) + scratch[j * it.kernel + i];
-                c.set(gi, gj, v);
+                c.set(i0 + i, j0 + j, scratch[j * it.kernel + i]);
             }
         }
     }

@@ -322,9 +322,9 @@ mod tests {
 
     /// In-place disjoint writes must be *bit-for-bit* identical to the
     /// old private-block + merge path. With one k block the old path
-    /// computed `c + (0 + alpha·acc)` and the new computes
-    /// `c + alpha·acc` — identical, since IEEE `0.0 + x` preserves the
-    /// bits of every x the accumulator can produce.
+    /// computes `c + fma(alpha, acc, 0)` and the new `fma(alpha, acc,
+    /// c)` — identical whenever `alpha·acc` is exact, as it is on the
+    /// dyadic `Mat::random` operands used here.
     #[test]
     fn in_place_is_bit_identical_to_merge_path() {
         let e = openblas_engine();

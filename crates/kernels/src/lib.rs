@@ -2,8 +2,10 @@
 //!
 //! Three views of the same micro-kernel concept:
 //!
-//! * [`native`] — host-executed const-generic register-tile kernels
-//!   (real arithmetic, validated against a reference triple loop);
+//! * [`native`] — host-executed register-tile kernels (real
+//!   arithmetic): a runtime-dispatched AVX2+FMA kernel with a portable
+//!   fused fallback that rounds identically, validated against a
+//!   reference triple loop;
 //! * [`trace_gen`] — ARMv8-like instruction streams for the
 //!   `smm-simarch` Phytium 2000+ model, parameterized by the scheduling
 //!   policies the paper contrasts (Fig. 7);
@@ -22,7 +24,7 @@ pub mod scalar;
 pub mod trace_gen;
 
 pub use descriptor::{BLoadStyle, MicroKernelDesc, SchedulePolicy};
-pub use native::{Kernel, KernelFn, KernelRef, KernelRegistry};
+pub use native::{BLayout, Kernel, KernelRef, KernelRegistry};
 pub use registry::{EdgeStrategy, LibraryProfile, TileSpan};
 pub use scalar::Scalar;
 pub use smm_model::VectorIsa;

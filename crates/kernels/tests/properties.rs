@@ -3,9 +3,10 @@
 //! shapes, and structural invariants of the generated traces.
 
 use smm_kernels::descriptor::{BLoadStyle, MicroKernelDesc, SchedulePolicy};
-use smm_kernels::native::{microkernel_reference, Kernel};
+use smm_kernels::native::{microkernel_reference, ukr, ukr_portable, BLayout, Kernel};
 use smm_kernels::registry::{decompose_greedy, tile_dimension, EdgeStrategy};
 use smm_kernels::trace_gen::{kernel_trace, KernelTraceParams};
+use smm_kernels::Scalar;
 use smm_simarch::isa::Op;
 use smm_simarch::phase::Phase;
 
@@ -40,8 +41,7 @@ fn data(n: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
-/// Any kernel shape (static or dynamic dispatch) matches the reference
-/// triple loop.
+/// Any kernel shape matches the reference triple loop.
 #[test]
 fn kernels_match_reference() {
     let mut rng = Rng::new(11);
@@ -167,17 +167,62 @@ fn trace_fma_counts() {
     }
 }
 
-/// Static dispatch and dynamic fallback agree on every registered shape.
+/// The dispatched kernel (AVX2+FMA where the host has it) and the
+/// portable kernel agree bit for bit on every tile shape, both
+/// precisions, both `B` layouts, a strided `A` and every `kc` edge —
+/// and neither writes outside the tile: the gap rows of a padded `ldc`
+/// hold a sentinel that must survive.
 #[test]
-fn static_and_dynamic_agree_everywhere() {
-    for &(mr, nr) in smm_kernels::native::STATIC_SHAPES {
-        let kc = 9;
-        let a = data(mr * kc, 3);
-        let b = data(nr * kc, 4);
-        let mut c1 = vec![0.5f32; mr * nr];
-        let mut c2 = c1.clone();
-        Kernel::<f32>::for_shape(mr, nr).run(kc, 1.0, &a, &b, &mut c1, mr);
-        smm_kernels::native::microkernel_dyn(mr, nr, kc, 1.0, &a, &b, &mut c2, mr);
-        assert_eq!(c1, c2, "{mr}x{nr}");
+fn dispatched_and_portable_agree_everywhere() {
+    fn sweep<S: Scalar>(rng: &mut Rng) {
+        let sentinel = S::from_f64(-7777.0);
+        let val = |rng: &mut Rng| {
+            S::from_f64((rng.next() >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0)
+        };
+        for mr in 1..=32usize {
+            for nr in [1usize, 2, 3, 4, 5, 8, 12, 13, 32] {
+                for kc in [0usize, 1, 9, 64] {
+                    let a_stride = mr + 3;
+                    let ldb = kc + 2;
+                    let ldc = mr + 5;
+                    let a: Vec<S> = (0..a_stride * kc).map(|_| val(rng)).collect();
+                    let b_cm: Vec<S> = (0..ldb * nr).map(|_| val(rng)).collect();
+                    let b_packed: Vec<S> = (0..kc * nr).map(|_| val(rng)).collect();
+                    let mut c0 = vec![sentinel; ldc * nr];
+                    for j in 0..nr {
+                        for i in 0..mr {
+                            c0[j * ldc + i] = val(rng);
+                        }
+                    }
+                    let alpha = val(rng);
+                    for (b, layout) in [
+                        (&b_packed, BLayout::Packed),
+                        (&b_cm, BLayout::ColMajor { ldb }),
+                    ] {
+                        let mut c_simd = c0.clone();
+                        let mut c_port = c0.clone();
+                        ukr(mr, nr, kc, alpha, &a, a_stride, b, layout, &mut c_simd, ldc);
+                        ukr_portable(mr, nr, kc, alpha, &a, a_stride, b, layout, &mut c_port, ldc);
+                        for (idx, (x, y)) in c_simd.iter().zip(&c_port).enumerate() {
+                            assert!(
+                                x.to_f64().to_bits() == y.to_f64().to_bits(),
+                                "{mr}x{nr} kc={kc} {layout:?}: c[{idx}] = {x} vs {y}"
+                            );
+                        }
+                        for j in 0..nr {
+                            for i in mr..ldc {
+                                assert!(
+                                    c_simd[j * ldc + i] == sentinel,
+                                    "{mr}x{nr} kc={kc} {layout:?}: wrote gap row {i} of column {j}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
+    let mut rng = Rng::new(14);
+    sweep::<f32>(&mut rng);
+    sweep::<f64>(&mut rng);
 }
