@@ -1,7 +1,8 @@
 //! Plan-generation cost — the "JIT dispatch" overhead of the §IV
-//! reference implementation: building a plan from scratch vs hitting
-//! the shape cache, and the end-to-end win of caching for repeated
-//! tiny GEMMs.
+//! reference implementation: building a plan (and compiling its tile
+//! schedule) from scratch vs hitting the shape cache, the end-to-end
+//! win of caching for repeated tiny GEMMs, and what a cached call and a
+//! batch entry add to a bare schedule execution.
 
 use smm_bench::timing::Group;
 use smm_core::{PlanConfig, Smm, SmmPlan};
@@ -39,11 +40,24 @@ fn main() {
         smm.gemm(1.0, a.as_ref(), b.as_ref(), 0.0, cm.as_mut())
     });
 
-    // Compiled schedule (offsets precomputed) vs the plan walker.
-    let plan = SmmPlan::build(8, 8, 8, &cfg);
+    // The same cached plan's compiled schedule run bare on raw slices
+    // (no plan lookup, no telemetry; one executor serves both): the
+    // floor under the cached call above.
+    let plan = smm.plan(8, 8, 8);
     let compiled = smm_core::CompiledPlan::compile(&plan, 8, 8, 8);
     let mut scratch = smm_core::CompiledScratch::new();
-    group.bench("gemm_8x8x8_compiled", || {
+    group.bench("schedule_8x8x8", || {
         compiled.execute(1.0f32, a.data(), b.data(), 0.0, cm.data_mut(), &mut scratch)
+    });
+
+    // One entry of a single-threaded 8^3 x 1024 batch on the same
+    // schedule: the operand views and beta scaling are all it adds (the
+    // `throughput` bin gates this ratio).
+    let desc = smm_core::StridedBatch::dense(8, 8, 8, 1024);
+    let ab: Vec<f32> = Mat::<f32>::random(8 * 1024, 8, 3).data().to_vec();
+    let bb: Vec<f32> = Mat::<f32>::random(8 * 1024, 8, 4).data().to_vec();
+    let mut cb = vec![0.0f32; 64 * 1024];
+    group.bench("gemm_batch_8x8x8x1024", || {
+        smm.gemm_batch(&desc, 1.0, &ab, &bb, 0.0, &mut cb).unwrap()
     });
 }

@@ -2,29 +2,33 @@
 //!
 //! The workloads that motivate SMM (DNN layers, block-sparse formats,
 //! ABFT) multiply *many* small matrices of the same shape. LIBXSMM's
-//! batched interface is the x86 precedent; here a single cached plan
-//! serves the whole batch, and — when the batch is large but each GEMM
-//! is tiny — parallelism goes *across* batch entries instead of inside
-//! one GEMM, which sidesteps every §III-D pitfall at once (nothing
-//! small is ever split). Entries are dispatched to the instance's
-//! persistent [`TaskPool`](smm_gemm::pool::TaskPool), not to freshly
-//! spawned threads. Each entry executes through
-//! [`execute_traced`] and therefore draws its packing buffers from the
-//! worker's thread-local [`smm_gemm::arena`]: the workers are
-//! persistent, so a warmed-up batch loop packs every entry without
-//! allocating.
+//! batched interface is the x86 precedent; here one cached
+//! single-threaded plan ([`Smm::batch_plan`]) serves the whole batch,
+//! and parallelism goes *across* entries instead of inside one GEMM,
+//! which sidesteps every §III-D pitfall at once (nothing small is ever
+//! split).
+//!
+//! A batch is validated once. Its entries are then split into
+//! contiguous ranges, one per thread the instance allows, and run on
+//! its persistent [`TaskPool`](smm_gemm::pool::TaskPool): each task
+//! claims ranges until none is left, checks its packing scratch out of
+//! its thread's [`smm_gemm::arena`] once, and runs the plan's compiled
+//! schedule over its entries in a tight loop. Per entry only the
+//! operand views, the `beta` scaling and the schedule's kernel calls
+//! remain.
 
 use std::time::Instant;
 
 use smm_gemm::matrix::{MatMut, MatRef};
+use smm_gemm::parallel::split_ranges;
 use smm_kernels::Scalar;
+use smm_sync::sync::Mutex;
 
+use crate::compiled::{PackCost, Scratch};
 use crate::error::{Operand, SmmError};
-use crate::exec::execute_traced;
-use crate::plan::{PlanConfig, SmmPlan};
 use crate::smm::Smm;
-use crate::telemetry::{now_if, CallSite, Phase, Recorder};
-use crate::trace::{shape_arg, SpanName};
+use crate::telemetry::{CallSite, Phase};
+use crate::trace::{shape_arg, SpanName, TraceCtx};
 
 /// Arguments describing one strided batch: `batch` GEMMs of identical
 /// shape laid out at constant strides in three flat buffers.
@@ -171,10 +175,10 @@ impl StridedBatch {
 
 impl<S: Scalar> Smm<S> {
     /// Strided-batch GEMM: `C[i] = alpha * A[i] * B[i] + beta * C[i]`
-    /// for `i in 0..batch`, with full validation. One plan (built
-    /// single-threaded — each GEMM is small) serves every entry; when
-    /// this `Smm` allows multiple threads, entries are distributed
-    /// across the instance's persistent pool.
+    /// for `i in 0..batch`, with full validation. One cached plan
+    /// ([`Smm::batch_plan`]) serves every entry; when this `Smm` allows
+    /// multiple threads, contiguous ranges of entries run on the
+    /// instance's persistent pool.
     pub fn gemm_batch(
         &self,
         desc: &StridedBatch,
@@ -196,28 +200,16 @@ impl<S: Scalar> Smm<S> {
             }
             return Ok(());
         }
-        let _root = self
-            .tracer
-            .span(SpanName::GemmBatch, shape_arg(desc.m, desc.n, desc.k));
+        // The span and the telemetry share their clock readings.
         let rec = self.telemetry().recorder(CallSite::GemmBatch);
         let t_call = rec.now();
-        // Intra-GEMM threading is deliberately disabled: batch-level
-        // parallelism never splits a small dimension.
-        let plan_cfg = PlanConfig {
-            max_threads: 1,
-            ..self.config().clone()
-        };
-        let plan = SmmPlan::build(desc.m, desc.n, desc.k, &plan_cfg);
+        let shape = shape_arg(desc.m, desc.n, desc.k);
+        let root = self.tracer.span_at(SpanName::GemmBatch, shape, t_call);
+        let plan = self.batch_plan(desc.m, desc.n, desc.k);
         let t_plan = rec.now();
         rec.span_between(Phase::PlanLookup, t_call, t_plan);
         let threads = self.config().max_threads.clamp(1, desc.batch);
-
-        // Entries are tiny, so per-entry clock reads can rival the
-        // arithmetic itself. Fine-grained (per-entry) recording is only
-        // worthwhile when the plan packs — the pack spans amortize the
-        // reads; otherwise each group records one coarse Compute span.
-        let fine = rec.active() && (plan.pack_a || plan.pack_b);
-        let entry_rec = if fine { rec } else { Recorder::none() };
+        let timed = rec.active();
         // `end` is the clock reading that closed the call's last span;
         // it doubles as the call's end and rate-window timestamp.
         let finish = |end: Option<Instant>| {
@@ -235,83 +227,107 @@ impl<S: Scalar> Smm<S> {
             }
         };
 
-        let run_entry = |plan: &SmmPlan, c_i: &mut [S], i: usize| {
-            let a_i = &a[i * desc.stride_a..];
-            let b_i = &b[i * desc.stride_b..];
-            let ar = MatRef::from_slice(a_i, desc.m, desc.k, desc.lda);
-            let br = MatRef::from_slice(b_i, desc.k, desc.n, desc.ldb);
-            let cm = MatMut::from_slice(c_i, desc.m, desc.n, desc.ldc);
-            execute_traced(self.pool(), plan, entry_rec, alpha, ar, br, beta, cm);
+        // Entries `first..first + count` on the calling thread, `c`
+        // starting at entry `first`'s C.
+        let plan = &*plan;
+        let run = |c: &mut [S], (first, count), scratch: &mut _, cost: &mut _| {
+            for e in 0..count {
+                let i = first + e;
+                let ar = MatRef::from_slice(&a[i * desc.stride_a..], desc.m, desc.k, desc.lda);
+                let br = MatRef::from_slice(&b[i * desc.stride_b..], desc.k, desc.n, desc.ldb);
+                let c_e = &mut c[e * desc.stride_c..];
+                let mut cm = MatMut::from_slice(c_e, desc.m, desc.n, desc.ldc);
+                cm.scale(beta);
+                plan.schedule
+                    .run_all(alpha, ar, br, &mut cm, scratch, timed, cost);
+            }
         };
 
         if threads <= 1 {
-            for i in 0..desc.batch {
-                run_entry(&plan, &mut c[i * desc.stride_c..], i);
-            }
+            let (mut scratch, mut cost) = (Scratch::default(), PackCost::default());
+            run(c, (0, desc.batch), &mut scratch, &mut cost);
             let end = rec.now();
-            if !fine {
-                rec.span_between(Phase::Compute, t_plan, end);
+            if let (Some(t0), Some(t1)) = (t_plan, end) {
+                cost.record(&rec, t1.duration_since(t0).as_nanos() as u64);
             }
             finish(end);
+            root.end_at(end);
             return Ok(());
         }
 
-        // Split C into disjoint per-entry windows, then deal the
-        // entries round-robin into one task per worker; the tasks run
-        // on the persistent pool (no thread spawns).
-        let mut windows: Vec<(usize, &mut [S])> = Vec::with_capacity(desc.batch);
+        // One contiguous range of entries per thread, each with the
+        // window of C its entries own. Each pool task claims ranges
+        // until none is left, so a worker that wakes late leaves its
+        // range to one already running; a task that finds nothing
+        // returns at once. A task checks its scratch out once, reads
+        // the clock twice and records its spans once, whatever the
+        // number of ranges it ran: per range, that would cost several
+        // percent of a range of tiny entries.
+        let mut ranges = Vec::with_capacity(threads);
         let mut rest = c;
-        for i in 0..desc.batch {
-            let take = if i + 1 == desc.batch {
+        for (w, range) in split_ranges(desc.batch, threads).into_iter().enumerate() {
+            let take = if w + 1 == threads {
                 rest.len()
             } else {
-                desc.stride_c
+                range.1 * desc.stride_c
             };
             let (win, tail) = rest.split_at_mut(take);
-            windows.push((i, win));
             rest = tail;
+            ranges.push((range, win));
         }
-        let mut groups: Vec<Vec<(usize, &mut [S])>> = (0..threads).map(|_| Vec::new()).collect();
-        for (pos, entry) in windows.into_iter().enumerate() {
-            groups[pos % threads].push(entry);
-        }
-        let plan_ref = &plan;
-        let run_entry_ref = &run_entry;
-        let timed = rec.active();
-        // Capture parentage here: the groups run on pool threads.
+        let queue = Mutex::new(ranges.into_iter());
+        let claim = || queue.lock().expect("batch range queue poisoned").next();
+        let (run, claim) = (&run, &claim);
         let tracer = self.tracer();
+        // Capture parentage here: the tasks run on pool threads.
         let ctx = tracer.current_ctx();
-        let tasks: Vec<_> = groups
-            .into_iter()
-            .enumerate()
-            .map(|(g, group)| {
+        let tasks: Vec<_> = (0..threads)
+            .map(|w| {
                 move || {
-                    let _w = tracer.span_in(ctx, SpanName::Worker, g as u64);
-                    let t0 = now_if(timed);
-                    for (i, win) in group {
-                        run_entry_ref(plan_ref, win, i);
+                    let Some(mut next) = claim() else {
+                        return 0;
+                    };
+                    let t0 = rec.now();
+                    // A task the caller drains inline runs inside the
+                    // call's own span and opens no worker span.
+                    let inline = tracer.current_ctx() == ctx;
+                    let parent = if inline { TraceCtx::none() } else { ctx };
+                    let span = tracer.span_in_at(parent, SpanName::Worker, w as u64, t0);
+                    let (mut scratch, mut cost) = (Scratch::default(), PackCost::default());
+                    loop {
+                        let (range, win) = next;
+                        run(win, range, &mut scratch, &mut cost);
+                        match claim() {
+                            Some(more) => next = more,
+                            None => break,
+                        }
                     }
-                    t0.map_or(0u64, |t| t.elapsed().as_nanos() as u64)
+                    let t1 = rec.now();
+                    span.end_at(t1);
+                    let busy_ns = t0
+                        .zip(t1)
+                        .map_or(0, |(t0, t1)| t1.duration_since(t0).as_nanos() as u64);
+                    // Recorded here, in parallel with the other tasks.
+                    if timed {
+                        cost.record(&rec, busy_ns);
+                    }
+                    busy_ns
                 }
             })
             .collect();
         // The lookup's end doubles as the dispatch start: splitting C
-        // and dealing the groups above is part of fanning out.
-        let busys = self.pool().run_scoped(tasks);
+        // into ranges above is part of fanning out.
+        let busy = self.pool().run_scoped(tasks);
         let end = rec.now();
         if let (Some(td), Some(t1)) = (t_plan, end) {
             let dispatch_ns = t1.duration_since(td).as_nanos() as u64;
-            let max_busy = busys.iter().copied().max().unwrap_or(0);
-            if !fine {
-                // One span for the parallel section's critical path —
-                // per-group spans would cost more than these entries.
-                rec.span_ns(Phase::Compute, max_busy);
-            }
+            let max_busy = busy.into_iter().max().unwrap_or(0);
             rec.span_ns(Phase::Dispatch, dispatch_ns);
-            // Barrier slack: the caller's wait beyond the slowest group.
+            // Barrier slack: the caller's wait beyond the busiest task.
             rec.span_ns(Phase::Sync, dispatch_ns.saturating_sub(max_busy));
         }
         finish(end);
+        root.end_at(end);
         Ok(())
     }
 

@@ -1,35 +1,32 @@
 //! Native execution of an [`SmmPlan`].
 //!
-//! Single-threaded execution writes micro-tiles straight into `C`
-//! (tiles are exact, never padded). Multi-threaded execution splits the
-//! plan's tile lists across the thread grid's `m_ways × n_ways`; each
-//! grid cell receives a disjoint tile of `C` from
-//! [`MatMut::split_grid`] and updates it **in place** — no private
-//! block, no post-join merge pass, `C` is swept once. Packing buffers
-//! come from the thread-local [`smm_gemm::arena`], so a warmed-up
-//! steady state allocates nothing per call.
+//! Every plan carries its compiled tile schedule (see
+//! [`crate::compiled`]); this module runs it. A single-threaded plan
+//! runs its whole schedule on the calling thread, straight into `C`
+//! (tiles are exact, never padded). A multi-threaded plan splits `C`
+//! with [`MatMut::split_grid`] into the disjoint blocks of its grid
+//! cells, and each cell runs its range of the schedule **in place** on
+//! a persistent [`TaskPool`] worker — no private block, no post-join
+//! merge pass, no per-call thread spawns (thread startup is the §III-D
+//! overhead that makes naive parallel SMM slower than sequential).
+//! Packing buffers come from the thread-local [`smm_gemm::arena`], so a
+//! warmed-up steady state allocates nothing per call.
 //!
-//! Multi-threaded plans run on a persistent [`TaskPool`] instead of
-//! spawning threads per call — thread startup is the §III-D overhead
-//! that makes naive parallel SMM slower than sequential. The cell
-//! decomposition is identical to the historical spawn-per-call
-//! executor, so results are bit-for-bit unchanged (see
-//! `pooled_execution_is_bit_identical_to_spawn_per_call`).
+//! Every element is computed by one kernel call per k block in k-block
+//! order, whatever the grid, so results are bit-for-bit independent of
+//! the thread count (see `pooled_execution_is_bit_identical_to_spawn_per_call`
+//! and the `golden_outputs` suite).
 
 use std::time::Instant;
 
-use smm_gemm::arena;
 use smm_gemm::matrix::{MatMut, MatRef};
 use smm_gemm::naive::check_dims_of;
-use smm_gemm::pack::{pack_a_exact, pack_b_exact_append};
-use smm_gemm::parallel::split_ranges;
 use smm_gemm::pool::TaskPool;
-use smm_kernels::native::{ukr_ptr, BLayout};
-use smm_kernels::registry::TileSpan;
 use smm_kernels::Scalar;
 
+use crate::compiled::{PackCost, Scratch};
 use crate::plan::SmmPlan;
-use crate::telemetry::{now_if, Phase, Recorder};
+use crate::telemetry::{Phase, Recorder};
 use crate::trace::{SpanName, Tracer};
 
 /// Execute `C = alpha·A·B + beta·C` under a plan, on the process-wide
@@ -124,25 +121,15 @@ pub fn execute_traced_ctx<S: Scalar>(
         plan.k
     );
     let timed = rec.active();
-    let threads = plan.threads();
-    if threads <= 1 {
+    let sched = &plan.schedule;
+    if plan.threads() <= 1 {
         c.scale(beta);
         let t0 = start.or_else(|| rec.now());
-        let cost = run_tiles(
-            plan,
-            timed,
-            alpha,
-            a,
-            b,
-            &mut c,
-            &plan.m_tiles,
-            &plan.n_tiles,
-            0,
-            0,
-        );
+        let (mut cost, mut scratch) = (PackCost::default(), Scratch::default());
+        sched.run_all(alpha, a, b, &mut c, &mut scratch, timed, &mut cost);
         let end = rec.now();
         if let (Some(t0), Some(t1)) = (t0, end) {
-            record_cost(&rec, &cost, t1.duration_since(t0).as_nanos() as u64);
+            cost.record(&rec, t1.duration_since(t0).as_nanos() as u64);
         }
         return end;
     }
@@ -156,213 +143,59 @@ pub fn execute_traced_ctx<S: Scalar>(
     c.scale(beta);
     let scale_ns = t_scale.map_or(0, |t| t.elapsed().as_nanos() as u64);
 
-    // Non-empty grid cells. Plan tiles cover each dimension
-    // contiguously, so chunk row/col spans partition C exactly.
-    let m_chunks = split_ranges(plan.m_tiles.len(), plan.grid.m_ways());
-    let n_chunks = split_ranges(plan.n_tiles.len(), plan.grid.n_ways());
-    let row_bands: Vec<(usize, usize, &[TileSpan])> = m_chunks
-        .iter()
-        .filter(|&&(_, mc)| mc > 0)
-        .map(|&(ms, mc)| {
-            let tiles = &plan.m_tiles[ms..ms + mc];
-            let rows: usize = tiles.iter().map(|t| t.logical).sum();
-            (tiles[0].offset, rows, tiles)
-        })
-        .collect();
-    let col_bands: Vec<(usize, usize, &[TileSpan])> = n_chunks
-        .iter()
-        .filter(|&&(_, nc)| nc > 0)
-        .map(|&(ns, nc)| {
-            let tiles = &plan.n_tiles[ns..ns + nc];
-            let cols: usize = tiles.iter().map(|t| t.logical).sum();
-            (tiles[0].offset, cols, tiles)
-        })
-        .collect();
-    let row_splits: Vec<(usize, usize)> = row_bands.iter().map(|&(i0, r, _)| (i0, r)).collect();
-    let col_splits: Vec<(usize, usize)> = col_bands.iter().map(|&(j0, cl, _)| (j0, cl)).collect();
-    // split_grid yields row band outer, column band inner — the same
-    // order the nested loops below consume.
-    let mut tiles_iter = c.split_grid(&row_splits, &col_splits).into_iter();
-
+    // split_grid yields row band outer, column band inner — the order
+    // the schedule lists its cells in.
+    let tiles = c.split_grid(&sched.row_bands, &sched.col_bands);
     // Parentage for the worker spans, captured on this thread: the
     // cells run on pool threads where the thread-local current span is
     // someone else's (or nobody's).
     let ctx = tracer.current_ctx();
-    let mut tasks: Vec<_> = Vec::with_capacity(row_bands.len() * col_bands.len());
-    let mut cell = 0u64;
-    for &(i_base, _, m_tiles) in &row_bands {
-        for &(j_base, _, n_tiles) in &col_bands {
-            let (ti, tj, mut tile) = tiles_iter.next().expect("one tile per band pair");
-            debug_assert_eq!((ti, tj), (i_base, j_base));
-            let cell_idx = cell;
-            cell += 1;
-            tasks.push(move || {
-                let _w = tracer.span_in(ctx, SpanName::Worker, cell_idx);
-                let t0 = now_if(timed);
-                let cost = run_tiles(
-                    plan, timed, alpha, a, b, &mut tile, m_tiles, n_tiles, i_base, j_base,
+    let tasks: Vec<_> = sched
+        .cells
+        .iter()
+        .zip(tiles)
+        .enumerate()
+        .map(|(idx, (cell, (ti, tj, mut tile)))| {
+            assert_eq!((ti, tj), (cell.i0, cell.j0), "grid cell out of order");
+            move || {
+                let _w = tracer.span_in(ctx, SpanName::Worker, idx as u64);
+                let t0 = rec.now();
+                let (steps, base) = (cell.steps.clone(), (cell.i0, cell.j0));
+                let (mut cost, mut scratch) = (PackCost::default(), Scratch::default());
+                sched.run(
+                    steps,
+                    base,
+                    alpha,
+                    a,
+                    b,
+                    &mut tile,
+                    &mut scratch,
+                    timed,
+                    &mut cost,
                 );
                 let busy_ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                (cost, busy_ns)
-            });
-        }
-    }
+                // Recorded here, in parallel with the other cells.
+                if timed {
+                    cost.record(&rec, busy_ns);
+                }
+                busy_ns
+            }
+        })
+        .collect();
     let t_dispatch = rec.now();
-    let results = pool.run_scoped(tasks);
+    let busy = pool.run_scoped(tasks);
     let end = rec.now();
-    let dispatch_ns = match (t_dispatch, end) {
-        (Some(t0), Some(t1)) => t1.duration_since(t0).as_nanos() as u64,
-        _ => 0,
-    };
+    let dispatch_ns = t_dispatch
+        .zip(end)
+        .map_or(0, |(t0, t1)| t1.duration_since(t0).as_nanos() as u64);
     if timed {
-        let mut max_busy = 0u64;
-        for (cost, busy_ns) in results {
-            record_cost(&rec, &cost, busy_ns);
-            max_busy = max_busy.max(busy_ns);
-        }
+        let max_busy = busy.into_iter().max().unwrap_or(0);
         rec.span_ns(Phase::Dispatch, dispatch_ns);
         // Barrier slack (the caller's wait beyond the slowest cell)
         // plus the serial scale bookend; no merge term remains.
         rec.span_ns(Phase::Sync, dispatch_ns.saturating_sub(max_busy) + scale_ns);
     }
     end
-}
-
-/// Packing cost observed by one [`run_tiles`] invocation; all zeros
-/// when untimed.
-#[derive(Debug, Clone, Copy, Default)]
-struct PackCost {
-    a_ns: u64,
-    b_ns: u64,
-    bytes: u64,
-    a_packed: bool,
-    b_packed: bool,
-}
-
-/// Record one tile-run's spans: pack phases as measured, compute as
-/// the remainder of the run's wall time.
-fn record_cost(rec: &Recorder<'_>, cost: &PackCost, total_ns: u64) {
-    if cost.a_packed {
-        rec.span_ns(Phase::PackA, cost.a_ns);
-    }
-    if cost.b_packed {
-        rec.span_ns(Phase::PackB, cost.b_ns);
-    }
-    if cost.bytes > 0 {
-        rec.packed_bytes(cost.bytes);
-    }
-    rec.span_ns(
-        Phase::Compute,
-        total_ns.saturating_sub(cost.a_ns + cost.b_ns),
-    );
-}
-
-/// Run a set of tiles; tile offsets are global, `i_base`/`j_base`
-/// translate them into the target `C` view.
-///
-/// With `timed` set, each packing call is individually clocked and the
-/// accumulated cost returned; packing is coarse enough (one call per
-/// panel per k-block, never per micro-kernel) that the extra clock
-/// reads stay amortized. Untimed runs return a zero [`PackCost`] and
-/// never read the clock.
-#[allow(clippy::too_many_arguments)]
-fn run_tiles<S: Scalar>(
-    plan: &SmmPlan,
-    timed: bool,
-    alpha: S,
-    a: MatRef<'_, S>,
-    b: MatRef<'_, S>,
-    c: &mut MatMut<'_, S>,
-    m_tiles: &[TileSpan],
-    n_tiles: &[TileSpan],
-    i_base: usize,
-    j_base: usize,
-) -> PackCost {
-    let lda = a.ld();
-    let ldb = b.ld();
-    let ldc = c.ld();
-    let nr = plan.kernel.nr;
-    let elem = std::mem::size_of::<S>() as u64;
-    let mut cost = PackCost::default();
-
-    // Arena-backed working storage: one buffer holds every packed B
-    // sliver of a k block (offsets below), one the current A panel.
-    // After warm-up these checkouts allocate nothing.
-    let kc_max = plan.kc.min(plan.k);
-    let n_total: usize = n_tiles.iter().map(|t| t.logical).sum();
-    let m_max: usize = m_tiles.iter().map(|t| t.logical).max().unwrap_or(0);
-    let mut bpack = arena::checkout::<S>(kc_max * n_total);
-    let mut apack = arena::checkout::<S>(kc_max * m_max);
-    // Per-sliver start offsets into `bpack`; UNPACKED marks slivers
-    // streamed straight from B.
-    const UNPACKED: usize = usize::MAX;
-    let mut b_offs = arena::checkout::<usize>(n_tiles.len());
-
-    let mut kk = 0;
-    while kk < plan.k {
-        let kc = plan.kc.min(plan.k - kk);
-        // Decide and perform B packing for this k block.
-        bpack.clear();
-        b_offs.clear();
-        for jt in n_tiles.iter() {
-            let edge = jt.logical < nr;
-            if plan.pack_b || (edge && plan.pack_edge_b) {
-                let t0 = now_if(timed);
-                let off = pack_b_exact_append(b, kk, jt.offset, kc, jt.logical, &mut bpack);
-                if let Some(t0) = t0 {
-                    cost.b_ns += t0.elapsed().as_nanos() as u64;
-                    cost.bytes += (kc * jt.logical) as u64 * elem;
-                    cost.b_packed = true;
-                }
-                b_offs.push(off);
-            } else {
-                b_offs.push(UNPACKED);
-            }
-        }
-        for it in m_tiles {
-            // A source: packed panel or the raw column-major block.
-            let (a_src, a_stride): (&[S], usize) = if plan.pack_a {
-                let t0 = now_if(timed);
-                pack_a_exact(a, it.offset, kk, it.logical, kc, &mut apack);
-                if let Some(t0) = t0 {
-                    cost.a_ns += t0.elapsed().as_nanos() as u64;
-                    cost.bytes += (it.logical * kc) as u64 * elem;
-                    cost.a_packed = true;
-                }
-                (apack.as_slice(), it.logical)
-            } else {
-                (&a.data()[kk * lda + it.offset..], lda)
-            };
-            for (s, jt) in n_tiles.iter().enumerate() {
-                let cptr = c.tile_ptr(
-                    it.offset - i_base,
-                    jt.offset - j_base,
-                    it.logical,
-                    jt.logical,
-                );
-                let (b_src, b_layout) = if b_offs[s] != UNPACKED {
-                    (
-                        &bpack[b_offs[s]..b_offs[s] + kc * jt.logical],
-                        BLayout::Packed,
-                    )
-                } else {
-                    (&b.data()[jt.offset * ldb + kk..], BLayout::ColMajor { ldb })
-                };
-                // SAFETY: `tile_ptr` just asserted the tile's
-                // `logical x logical` window lies inside `c`, whose
-                // elements `&mut c` owns exclusively; the kernel writes
-                // exactly that footprint with stride `ldc = c.ld()`.
-                unsafe {
-                    ukr_ptr(
-                        it.logical, jt.logical, kc, alpha, a_src, a_stride, b_src, b_layout, cptr,
-                        ldc,
-                    )
-                };
-            }
-        }
-        kk += kc;
-    }
-    cost
 }
 
 #[cfg(test)]
@@ -481,85 +314,20 @@ mod tests {
         assert_eq!(c1.data(), c2.data());
     }
 
-    /// The historical executor this PR replaced: one `thread::scope`
-    /// spawn per grid cell, joined in submission order. Kept verbatim
-    /// as the oracle for the bit-for-bit parity guarantee.
-    fn execute_spawn_per_call<S: Scalar>(
-        plan: &SmmPlan,
-        alpha: S,
-        a: MatRef<'_, S>,
-        b: MatRef<'_, S>,
-        beta: S,
-        mut c: MatMut<'_, S>,
-    ) {
-        let (m, k, n) = check_dims_of(&a, &b, c.rows(), c.cols());
-        assert_eq!((m, n, k), (plan.m, plan.n, plan.k));
-        c.scale(beta);
-        if plan.threads() <= 1 {
-            run_tiles(
-                plan,
-                false,
-                alpha,
-                a,
-                b,
-                &mut c,
-                &plan.m_tiles,
-                &plan.n_tiles,
-                0,
-                0,
-            );
-            return;
-        }
-        let m_chunks = split_ranges(plan.m_tiles.len(), plan.grid.m_ways());
-        let n_chunks = split_ranges(plan.n_tiles.len(), plan.grid.n_ways());
-        let mut cells: Vec<(usize, usize, usize, usize, Mat<S>)> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for &(ms, mc) in &m_chunks {
-                for &(ns, nc) in &n_chunks {
-                    if mc == 0 || nc == 0 {
-                        continue;
-                    }
-                    let m_tiles = &plan.m_tiles[ms..ms + mc];
-                    let n_tiles = &plan.n_tiles[ns..ns + nc];
-                    let i_base = m_tiles[0].offset;
-                    let j_base = n_tiles[0].offset;
-                    let rows: usize = m_tiles.iter().map(|t| t.logical).sum();
-                    let cols: usize = n_tiles.iter().map(|t| t.logical).sum();
-                    handles.push(scope.spawn(move || {
-                        let mut local = Mat::<S>::zeros(rows, cols);
-                        {
-                            let mut lm = local.as_mut();
-                            run_tiles(
-                                plan, false, alpha, a, b, &mut lm, m_tiles, n_tiles, i_base, j_base,
-                            );
-                        }
-                        (i_base, j_base, rows, cols, local)
-                    }));
-                }
-            }
-            for h in handles {
-                cells.push(h.join().expect("SMM worker panicked"));
-            }
-        });
-        for (i_base, j_base, rows, cols, local) in cells {
-            for j in 0..cols {
-                for i in 0..rows {
-                    let v = c.at(i_base + i, j_base + j) + local[(i, j)];
-                    c.set(i_base + i, j_base + j, v);
-                }
-            }
-        }
-    }
+    /// FNV-1a digests of the outputs below, recorded from the
+    /// historical spawn-per-call executor: one `thread::scope` spawn
+    /// per grid cell walking the plan's tile tables into a private
+    /// block, merged into `C` after the join.
+    const SPAWN_PER_CALL_DIGESTS: [(usize, usize, usize, usize, u64); 4] = [
+        (48, 96, 24, 4, 0x1b5f_a69b_ea1a_d0e8),
+        (96, 16, 32, 8, 0x172a_3e79_f5d2_9c1a),
+        (33, 27, 19, 2, 0x236f_acc3_0b1b_b4ac),
+        (64, 64, 64, 16, 0xcc5d_df07_925b_6fc4),
+    ];
 
     #[test]
     fn pooled_execution_is_bit_identical_to_spawn_per_call() {
-        for &(m, n, k, threads) in &[
-            (48usize, 96usize, 24usize, 4usize),
-            (96, 16, 32, 8),
-            (33, 27, 19, 2),
-            (64, 64, 64, 16),
-        ] {
+        for (m, n, k, threads, want) in SPAWN_PER_CALL_DIGESTS {
             let cfg = PlanConfig {
                 max_threads: threads,
                 ..Default::default()
@@ -567,13 +335,14 @@ mod tests {
             let plan = SmmPlan::build(m, n, k, &cfg);
             let a = Mat::<f32>::random(m, k, 41);
             let b = Mat::<f32>::random(k, n, 42);
-            let mut c_pool = Mat::<f32>::random(m, n, 43);
-            let mut c_spawn = c_pool.clone();
-            execute(&plan, 1.5, a.as_ref(), b.as_ref(), 0.25, c_pool.as_mut());
-            execute_spawn_per_call(&plan, 1.5, a.as_ref(), b.as_ref(), 0.25, c_spawn.as_mut());
-            for (x, y) in c_pool.data().iter().zip(c_spawn.data()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{m}x{n}x{k} t{threads}");
+            let mut c = Mat::<f32>::random(m, n, 43);
+            execute(&plan, 1.5, a.as_ref(), b.as_ref(), 0.25, c.as_mut());
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for byte in c.data().iter().flat_map(|x| x.to_bits().to_le_bytes()) {
+                h ^= byte as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
             }
+            assert_eq!(h, want, "{m}x{n}x{k} t{threads}");
         }
     }
 }

@@ -15,6 +15,8 @@ use smm_kernels::registry::{decompose_greedy, TileSpan};
 use smm_model::parallel::{select_grid, ThreadGrid};
 use smm_model::{p2c, CacheSizes, KernelShape, VectorIsa};
 
+use crate::compiled::Schedule;
+
 /// Tunables for plan generation and execution.
 #[derive(Debug, Clone)]
 pub struct PlanConfig {
@@ -192,6 +194,9 @@ pub struct SmmPlan {
     pub p2c: f64,
     /// Vector ISA the plan was built for (tiling + trace generation).
     pub isa: VectorIsa,
+    /// The fields above compiled into the executor's tile schedule, at
+    /// build time; a plan is immutable once built.
+    pub(crate) schedule: Schedule,
 }
 
 impl SmmPlan {
@@ -227,7 +232,7 @@ impl SmmPlan {
             .pack_a
             .unwrap_or(slivers_per_thread >= cfg.pack_a_reuse && m * k * 4 > l1);
 
-        SmmPlan {
+        let mut plan = SmmPlan {
             m,
             n,
             k,
@@ -241,7 +246,10 @@ impl SmmPlan {
             grid,
             p2c: p2c::p2c_as_published(m, n),
             isa: cfg.isa,
-        }
+            schedule: Schedule::default(),
+        };
+        plan.schedule = Schedule::compile(&plan);
+        plan
     }
 
     /// Threads the plan will use.

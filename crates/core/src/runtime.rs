@@ -45,7 +45,9 @@ pub struct RuntimeStats {
     pub plan_misses: u64,
     /// Plans dropped because a shard reached its capacity.
     pub plan_evictions: u64,
-    /// Plans currently resident across all shards.
+    /// Shapes with resident plans, across all shards. A shape holds one
+    /// plan per thread budget it was asked for: on a threaded instance
+    /// `gemm` and `gemm_batch` plan the same shape apart.
     pub cached_plans: usize,
     /// Worker threads of the pool backing this instance.
     pub pool_workers: usize,
@@ -62,13 +64,28 @@ fn shard_of(key: (usize, usize, usize)) -> usize {
     (h >> 48) & (SHARDS - 1)
 }
 
-type Shard = RwLock<HashMap<(usize, usize, usize), Arc<SmmPlan>>>;
+/// The plans of one shape, one per thread budget.
+type ShapePlans = Vec<(usize, Arc<SmmPlan>)>;
 
-/// Read-mostly memoization of [`SmmPlan`]s keyed by `(m, n, k)`.
+type Shard = RwLock<HashMap<(usize, usize, usize), ShapePlans>>;
+
+/// The plan for `threads` among a shape's plans.
+fn plan_for_budget(plans: &ShapePlans, threads: usize) -> Option<Arc<SmmPlan>> {
+    plans
+        .iter()
+        .find(|(t, _)| *t == threads)
+        .map(|(_, p)| Arc::clone(p))
+}
+
+/// Read-mostly memoization of [`SmmPlan`]s keyed by `(m, n, k)` and
+/// thread budget. A threaded plan may pack differently from the
+/// single-threaded plan of the same shape (packing pays per thread),
+/// so each budget asked for gets its own plan; capacity and residency
+/// count shapes, and a shape is evicted with all its plans.
 ///
 /// Lookups take a shared (read) lock on one shard only; plan
 /// construction happens outside any lock, and the insert double-checks
-/// so concurrent misses on the same shape converge on one plan.
+/// so concurrent misses on the same key converge on one plan.
 pub struct ShardedPlanCache {
     shards: [Shard; SHARDS],
     /// Per-shard entry cap (0 = unbounded).
@@ -81,7 +98,7 @@ pub struct ShardedPlanCache {
 }
 
 impl ShardedPlanCache {
-    /// Cache bounded to roughly `capacity` plans in total
+    /// Cache bounded to roughly `capacity` shapes in total
     /// (`capacity == 0` means unbounded).
     ///
     /// Bounded shards pre-allocate to their cap so a fill-up never
@@ -102,14 +119,16 @@ impl ShardedPlanCache {
         }
     }
 
-    /// The plan for `(m, n, k)`, building it with `cfg` on a miss.
+    /// The plan for `(m, n, k)` under `cfg.max_threads`, building it
+    /// with `cfg` on a miss.
     pub fn get_or_build(&self, m: usize, n: usize, k: usize, cfg: &PlanConfig) -> Arc<SmmPlan> {
-        self.get_or_insert_with(m, n, k, || SmmPlan::build(m, n, k, cfg))
+        self.get_or_insert_with(m, n, k, cfg.max_threads, || SmmPlan::build(m, n, k, cfg))
     }
 
-    /// The plan for `(m, n, k)`, calling `build` on a miss. The general
-    /// entry point behind [`Self::get_or_build`]: the two-stage tuner
-    /// supplies database-derived plans through the same cache, so the
+    /// The plan for `(m, n, k)` under a budget of `threads` (0 counts
+    /// as 1), calling `build` on a miss. The general entry point behind
+    /// [`Self::get_or_build`]: the two-stage tuner supplies
+    /// database-derived plans through the same cache, so the
     /// steady-state hit path is identical no matter where a plan came
     /// from.
     pub fn get_or_insert_with(
@@ -117,40 +136,50 @@ impl ShardedPlanCache {
         m: usize,
         n: usize,
         k: usize,
+        threads: usize,
         build: impl FnOnce() -> SmmPlan,
     ) -> Arc<SmmPlan> {
         let key = (m, n, k);
+        let threads = threads.max(1);
         let shard = &self.shards[shard_of(key)];
-        if let Some(plan) = shard.read().unwrap().get(&key) {
+        let cached = shard
+            .read()
+            .unwrap()
+            .get(&key)
+            .and_then(|p| plan_for_budget(p, threads));
+        if let Some(plan) = cached {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(plan);
+            return plan;
         }
         // Build outside the lock: planning may simulate candidate
         // kernels and must not serialize other shapes' lookups.
         let built = Arc::new(build());
         let mut map = shard.write().unwrap();
-        if let Some(plan) = map.get(&key) {
+        if let Some(plan) = map.get(&key).and_then(|p| plan_for_budget(p, threads)) {
             // A concurrent miss won the race; adopt its plan. The call
             // is served from the cache, so it counts as a hit — misses
             // count inserted plans, and `hits + misses` stays the
             // number of calls.
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(plan);
+            return plan;
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        if self.shard_capacity != 0 && map.len() >= self.shard_capacity {
+        let full = self.shard_capacity != 0 && map.len() >= self.shard_capacity;
+        if full && !map.contains_key(&key) {
             // Arbitrary eviction: SMM workloads cycle over few shapes,
             // so anything resident beyond capacity is equally cold.
             if let Some(&victim) = map.keys().next() {
-                map.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+                let dropped = map.remove(&victim).map_or(0, |p| p.len());
+                self.evictions.fetch_add(dropped as u64, Ordering::Relaxed);
             }
         }
-        map.insert(key, Arc::clone(&built));
+        map.entry(key)
+            .or_default()
+            .push((threads, Arc::clone(&built)));
         built
     }
 
-    /// Plans currently resident across all shards.
+    /// Shapes with resident plans, across all shards.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.read().unwrap().len()).sum()
     }
@@ -211,6 +240,24 @@ mod tests {
         cache.get_or_build(5, 4, 4, &cfg);
         assert_eq!(cache.len(), 3);
         assert_eq!(cache.stats(0).plan_misses, 3);
+    }
+
+    #[test]
+    fn thread_budgets_share_one_shape_entry() {
+        let cache = ShardedPlanCache::default();
+        let one = cache.get_or_build(64, 64, 64, &PlanConfig::default());
+        let cfg4 = PlanConfig {
+            max_threads: 4,
+            ..Default::default()
+        };
+        let four = cache.get_or_build(64, 64, 64, &cfg4);
+        assert!(!Arc::ptr_eq(&one, &four));
+        assert_eq!(four.threads(), 4);
+        assert_eq!(cache.len(), 1, "one shape resident");
+        assert_eq!(cache.stats(0).plan_misses, 2);
+        // A budget of 0 is a budget of 1.
+        let zero = cache.get_or_insert_with(64, 64, 64, 0, || unreachable!());
+        assert!(Arc::ptr_eq(&one, &zero));
     }
 
     #[test]
@@ -278,7 +325,7 @@ mod tests {
             let handles: Vec<_> = (0..2)
                 .map(|_| {
                     s.spawn(|| {
-                        cache.get_or_insert_with(9, 9, 9, || {
+                        cache.get_or_insert_with(9, 9, 9, 1, || {
                             barrier.wait();
                             SmmPlan::build(9, 9, 9, &PlanConfig::default())
                         })

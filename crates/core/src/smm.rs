@@ -109,7 +109,7 @@ impl<S: Scalar> SmmBuilder<S> {
         self
     }
 
-    /// Bound on the number of memoized plans (0 = unbounded).
+    /// Bound on the number of memoized shapes (0 = unbounded).
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
         self
@@ -325,7 +325,25 @@ impl<S: Scalar> Smm<S> {
     /// is loaded.
     pub fn plan(&self, m: usize, n: usize, k: usize) -> Arc<SmmPlan> {
         self.cache
-            .get_or_insert_with(m, n, k, || self.source.plan_for(m, n, k, &self.cfg))
+            .get_or_insert_with(m, n, k, self.cfg.max_threads, || {
+                self.source.plan_for(m, n, k, &self.cfg)
+            })
+    }
+
+    /// Get (building and caching if needed) the plan
+    /// [`Smm::gemm_batch`] runs every entry of an `m × n × k` batch
+    /// under: single-threaded, since a batch is parallelized across its
+    /// entries. Resolved like [`Smm::plan`] under a budget of one
+    /// thread, so on a single-threaded instance both are the same
+    /// cached plan.
+    pub fn batch_plan(&self, m: usize, n: usize, k: usize) -> Arc<SmmPlan> {
+        self.cache.get_or_insert_with(m, n, k, 1, || {
+            let cfg = PlanConfig {
+                max_threads: 1,
+                ..self.cfg.clone()
+            };
+            self.source.plan_for(m, n, k, &cfg)
+        })
     }
 
     /// Counters of the two-stage plan source (database hits, NN
@@ -348,7 +366,7 @@ impl<S: Scalar> Smm<S> {
         self.source.hot_shapes(limit)
     }
 
-    /// Number of distinct shapes planned so far.
+    /// Number of distinct shapes with resident plans.
     pub fn cached_plans(&self) -> usize {
         self.cache.len()
     }

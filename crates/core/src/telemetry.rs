@@ -463,8 +463,14 @@ impl Telemetry {
         shard.hist[p][LatencyHistogram::bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
         shard.phase_ns[p].fetch_add(ns, Ordering::Relaxed);
         shard.phase_count[p].fetch_add(1, Ordering::Relaxed);
-        shard.phase_min[p].fetch_min(ns, Ordering::Relaxed);
-        shard.phase_max[p].fetch_max(ns, Ordering::Relaxed);
+        // The extremes rarely move: test before paying for the locked
+        // read-modify-write.
+        if ns < shard.phase_min[p].load(Ordering::Relaxed) {
+            shard.phase_min[p].fetch_min(ns, Ordering::Relaxed);
+        }
+        if ns > shard.phase_max[p].load(Ordering::Relaxed) {
+            shard.phase_max[p].fetch_max(ns, Ordering::Relaxed);
+        }
         shard.site_phase_ns[site.index()][p].fetch_add(ns, Ordering::Relaxed);
     }
 

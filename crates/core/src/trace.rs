@@ -210,14 +210,12 @@ impl Tracer {
         self.inner.is_some()
     }
 
-    fn now_ns(inner: &TracerInner) -> u64 {
-        clock_now()
-            .saturating_duration_since(inner.epoch)
-            .as_nanos() as u64
-    }
-
+    /// Emit one event stamped at `at`, a clock reading the caller
+    /// already holds, or now.
+    #[allow(clippy::too_many_arguments)]
     fn emit(
         inner: &TracerInner,
+        at: Option<Instant>,
         kind: EventKind,
         trace: u64,
         span: u64,
@@ -225,12 +223,13 @@ impl Tracer {
         tag: u8,
         arg: u64,
     ) {
+        let ts = at.unwrap_or_else(clock_now);
         inner.flight.emit(&SpanEvent {
             kind,
             trace,
             span,
             parent,
-            ts_ns: Self::now_ns(inner),
+            ts_ns: ts.saturating_duration_since(inner.epoch).as_nanos() as u64,
             name: tag,
             tid: thread_tid(),
             arg,
@@ -258,34 +257,56 @@ impl Tracer {
     /// Open a span under the thread's current context: same trace and
     /// parented there if one is current, otherwise a fresh root trace.
     pub fn span(&self, name: SpanName, arg: u64) -> SpanGuard<'_> {
+        self.span_at(name, arg, None)
+    }
+
+    /// [`Tracer::span`] starting at `at`, a clock reading the caller
+    /// already holds (`None` reads the clock).
+    pub fn span_at(&self, name: SpanName, arg: u64, at: Option<Instant>) -> SpanGuard<'_> {
         let ctx = self.current_ctx();
         if ctx.trace != 0 {
-            self.span_in(ctx, name, arg)
+            self.span_in_at(ctx, name, arg, at)
         } else {
-            self.root(name, arg)
+            self.root_at(name, arg, at)
         }
     }
 
     /// Open a root span of a fresh trace, ignoring any current context.
     pub fn root(&self, name: SpanName, arg: u64) -> SpanGuard<'_> {
+        self.root_at(name, arg, None)
+    }
+
+    fn root_at(&self, name: SpanName, arg: u64, at: Option<Instant>) -> SpanGuard<'_> {
         let Some(inner) = self.inner.as_deref() else {
             return SpanGuard::noop();
         };
         let trace = inner.next_trace.fetch_add(1, Ordering::Relaxed);
-        self.begin_guard(inner, trace, 0, name, arg)
+        self.begin_guard(inner, trace, 0, name, arg, at)
     }
 
     /// Open a span in an explicit context (cross-thread parentage).
     /// A no-op if `ctx` is empty — worker closures can call this
     /// unconditionally.
     pub fn span_in(&self, ctx: TraceCtx, name: SpanName, arg: u64) -> SpanGuard<'_> {
+        self.span_in_at(ctx, name, arg, None)
+    }
+
+    /// [`Tracer::span_in`] starting at `at`, a clock reading the
+    /// caller already holds (`None` reads the clock).
+    pub fn span_in_at(
+        &self,
+        ctx: TraceCtx,
+        name: SpanName,
+        arg: u64,
+        at: Option<Instant>,
+    ) -> SpanGuard<'_> {
         let Some(inner) = self.inner.as_deref() else {
             return SpanGuard::noop();
         };
         if ctx.trace == 0 {
             return SpanGuard::noop();
         }
-        self.begin_guard(inner, ctx.trace, ctx.parent, name, arg)
+        self.begin_guard(inner, ctx.trace, ctx.parent, name, arg, at)
     }
 
     fn begin_guard<'t>(
@@ -295,10 +316,12 @@ impl Tracer {
         parent: u64,
         name: SpanName,
         arg: u64,
+        at: Option<Instant>,
     ) -> SpanGuard<'t> {
         let span = inner.next_span.fetch_add(1, Ordering::Relaxed);
         Self::emit(
             inner,
+            at,
             EventKind::Begin,
             trace,
             span,
@@ -332,6 +355,7 @@ impl Tracer {
         let span = inner.next_span.fetch_add(1, Ordering::Relaxed);
         Self::emit(
             inner,
+            None,
             EventKind::Begin,
             trace,
             span,
@@ -355,7 +379,16 @@ impl Tracer {
         if open.trace == 0 {
             return;
         }
-        Self::emit(inner, EventKind::End, open.trace, open.span, 0, open.tag, 0);
+        Self::emit(
+            inner,
+            None,
+            EventKind::End,
+            open.trace,
+            open.span,
+            0,
+            open.tag,
+            0,
+        );
     }
 
     /// Drain the flight recorder and assemble its events into complete
@@ -476,14 +509,26 @@ impl<'t> SpanGuard<'t> {
             TraceCtx::none()
         }
     }
+
+    /// End the span at `at`, a clock reading the caller already holds
+    /// (`None` reads the clock) — what dropping the guard does with a
+    /// fresh reading.
+    pub fn end_at(mut self, at: Option<Instant>) {
+        self.end(at);
+    }
+
+    fn end(&mut self, at: Option<Instant>) {
+        if let Some(inner) = self.inner.take() {
+            let (trace, span, tag) = (self.trace, self.span, self.tag);
+            Tracer::emit(inner, at, EventKind::End, trace, span, 0, tag, 0);
+            CURRENT.with(|c| c.set(self.prev));
+        }
+    }
 }
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        if let Some(inner) = self.inner {
-            Tracer::emit(inner, EventKind::End, self.trace, self.span, 0, self.tag, 0);
-            CURRENT.with(|c| c.set(self.prev));
-        }
+        self.end(None);
     }
 }
 

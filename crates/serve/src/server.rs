@@ -729,9 +729,11 @@ fn expire_queued<S: Scalar>(q: &mut VecDeque<Pending<S>>, shared: &ServeShared<S
 }
 
 /// Pre-warm one dispatcher for its plan database's hottest shapes:
-/// build (and cache) their plans, and cycle the dispatcher-thread
-/// gather arena through the buffer sizes `execute_group` will request,
-/// so the first real request of a hot shape pays neither plan
+/// build (and cache) their plans — the `gemm` plan a group of one
+/// runs and the batch plan a coalesced group runs — and cycle the
+/// dispatcher-thread gather arena through the buffer sizes
+/// `execute_group` will request, so the first real request of a hot
+/// shape pays neither plan
 /// construction nor arena growth. Runs on the dispatcher thread —
 /// the arena is thread-local, so warming it anywhere else is useless.
 fn prewarm_hot_shapes<S: Scalar>(smm: &Smm<S>, cfg: &ServeConfig) -> u64 {
@@ -742,6 +744,7 @@ fn prewarm_hot_shapes<S: Scalar>(smm: &Smm<S>, cfg: &ServeConfig) -> u64 {
     let per = cfg.max_batch.clamp(1, 8);
     for (m, n, k) in smm.hot_shapes(cfg.prewarm) {
         smm.plan(m, n, k);
+        smm.batch_plan(m, n, k);
         let (ea, eb, ec) = (m * k, k * n, m * n);
         let a = arena::checkout::<S>(per * ea);
         let b = arena::checkout::<S>(per * eb);

@@ -148,6 +148,80 @@ fn prewarm_builds_hot_plans_before_first_request() {
 }
 
 #[test]
+fn prewarmed_shape_coalesced_group_builds_no_plan() {
+    use smm_core::{PlanDb, PlanEntry, VectorIsa};
+    // As above: a database whose hot shapes the dispatcher pre-warms
+    // on a threaded runtime, where the plan of a coalesced group (one
+    // `gemm_batch`, single-threaded per entry) differs from the plan of
+    // a group of one (`gemm`, threaded).
+    let mut db = PlanDb::new(VectorIsa::neon128());
+    for &(m, n, k) in &[(8u32, 8u32, 8u32), (12, 6, 10)] {
+        db.upsert(PlanEntry {
+            m,
+            n,
+            k,
+            mr: 8,
+            nr: 4,
+            pack_a: false,
+            pack_b: true,
+            refined: false,
+            elem_bytes: 4,
+            cycles: 100,
+            heuristic_cycles: 120,
+            traffic: 0,
+        });
+        assert!(db.add_traffic(m as usize, n as usize, k as usize, 100));
+    }
+    let smm = Arc::new(
+        Smm::<f32>::builder()
+            .threads(2)
+            .plan_db_handle(db)
+            .unwrap()
+            .build(),
+    );
+    let server = Server::<f32>::builder()
+        .smm(Arc::clone(&smm))
+        .prewarm(8)
+        .coalesce_window(Duration::from_secs(2))
+        .build();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while server.stats().prewarmed < 2 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "prewarm never completed"
+        );
+        std::thread::yield_now();
+    }
+    let misses_after_prewarm = smm.stats().plan_misses;
+    let client = server.client();
+    // Park the dispatcher in the window on one hot shape, then queue a
+    // cohort of the other behind it: it dispatches as one group.
+    let decoy = client.submit(random_request(12, 6, 10, 1)).unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    let cohort: Vec<_> = (0..8)
+        .map(|i| {
+            let req = random_request(8, 8, 8, 700 + i);
+            let want = oracle(&req);
+            (client.submit(req).unwrap(), want)
+        })
+        .collect();
+    let stats = server.shutdown();
+    assert!(decoy.wait().is_ok());
+    for (ticket, want) in cohort {
+        assert_close(&ticket.wait().unwrap(), &want, "prewarmed coalesced");
+    }
+    assert!(
+        stats.coalesced_max >= 8,
+        "cohort did not coalesce: {stats:?}"
+    );
+    assert_eq!(
+        smm.stats().plan_misses,
+        misses_after_prewarm,
+        "a coalesced group of a pre-warmed shape built a plan"
+    );
+}
+
+#[test]
 fn queue_full_is_typed_backpressure() {
     // A long window parks the dispatcher on the first request's shape,
     // so differently-shaped submissions accumulate in the queue and the
