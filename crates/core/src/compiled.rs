@@ -2,7 +2,7 @@
 //!
 //! §IV of the paper credits JIT code paths partly for "pre-calculating
 //! the offsets of memory accesses". Every [`SmmPlan`] carries a
-//! [`Schedule`], compiled once when the plan is built: a flat list of
+//! `Schedule`, compiled once when the plan is built: a flat list of
 //! steps — pack directives and micro-kernel calls, each with its tile
 //! coordinates `(i0, j0, kk, mr, nr, kc)` and packing source resolved —
 //! plus one index range of that list per grid cell of a threaded plan.
@@ -10,11 +10,11 @@
 //! when a step runs, so one cached schedule serves every leading
 //! dimension and every entry of a batch.
 //!
-//! Every native path runs a schedule through [`Schedule::run`]:
-//! [`crate::exec`] per call or per grid cell, [`crate::batch`] once per
-//! entry over a worker's contiguous range of entries, and
-//! [`CompiledPlan`] for callers holding raw slices with fixed leading
-//! dimensions.
+//! Every native path runs a schedule through `Schedule::run`:
+//! [`crate::exec`] per call or per grid cell (also for
+//! [`CompiledPlan`], which binds a plan to raw slices), and
+//! [`crate::batch`] once per entry over the contiguous entry ranges a
+//! pool task claims.
 
 use std::ops::Range;
 
