@@ -281,7 +281,10 @@ impl<S: Scalar> Smm<S> {
         let tracer = self.tracer();
         // Capture parentage here: the tasks run on pool threads.
         let ctx = tracer.current_ctx();
-        let tasks: Vec<_> = (0..threads)
+        // Tasks beyond the pool's workers plus the caller could never
+        // run at once; with ranges claimed they would only add jobs to
+        // wait for.
+        let tasks: Vec<_> = (0..threads.min(self.pool().workers() + 1))
             .map(|w| {
                 move || {
                     let Some(mut next) = claim() else {
